@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.spatial import HalfspaceIntersection
 
 SQRT2 = np.sqrt(2.0)
 I2 = np.eye(2, dtype=complex)
@@ -70,12 +69,6 @@ def _proj(k: np.ndarray) -> np.ndarray:
     return np.outer(k, k.conj())
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices (np.kron without its per-call overhead)."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-
-
 def effect(direction, outcome_plus: bool) -> np.ndarray:
     """The projector (1 +- n.sigma)/2 onto one eigenspace of n.sigma."""
     n_sigma = sum(c * SIGMA[a] for c, a in zip(direction, "XYZ"))
@@ -90,18 +83,18 @@ def collapsed(doc: dict) -> np.ndarray:
     """
     ctrl = [_proj(_kets(k)) for k in doc["control_basis"]]
     shared = np.array([[complex(re, im) for re, im in row] for row in doc["shared_state"]])
-    rho = kron(shared, _proj(_kets(doc["target_init"])))
+    rho = np.kron(shared, _proj(_kets(doc["target_init"])))
     labs = []
     for key in ("lab_a1", "lab_a2"):
         m = [_kets(k) for k in doc[key]["measure"]]
         p = [_kets(k) for k in doc[key]["prepare"]]
-        labs.append([[np.outer(p[x], m[a].conj()) for a in (0, 1)] for x in (0, 1)])
-    out = np.empty((16, 8, 8), dtype=complex)
-    for i, (x1, x2, a1, a2) in enumerate(itertools.product((0, 1), repeat=4)):
-        k1, k2 = labs[0][x1][a1], labs[1][x2][a2]
-        w = kron(ctrl[0], kron(I2, k2 @ k1)) + kron(ctrl[1], kron(I2, k1 @ k2))
-        out[i] = w @ rho @ w.conj().T
-    return out
+        labs.append(np.array([[np.outer(p[x], m[a].conj()) for a in (0, 1)] for x in (0, 1)]))
+    # stacks over (x1, x2, a1, a2); np.kron of a matrix with a stack of
+    # matrices is the stack of their Kronecker products
+    k1 = np.broadcast_to(labs[0][:, None, :, None], (2,) * 6).reshape(16, 2, 2)
+    k2 = np.broadcast_to(labs[1][None, :, None, :], (2,) * 6).reshape(16, 2, 2)
+    w = np.kron(ctrl[0], np.kron(I2, k2 @ k1)) + np.kron(ctrl[1], np.kron(I2, k1 @ k2))
+    return w @ rho @ w.conj().transpose(0, 2, 1)
 
 
 def doc_effects(doc: dict, key: str) -> np.ndarray:
@@ -118,9 +111,8 @@ def table(coll: np.ndarray, eff_c: np.ndarray, eff_b: np.ndarray,
           wired: np.ndarray | None) -> np.ndarray:
     """p(a1, a2, b, c | x1, x2, y, z) = Tr[(E_c|z (x) F_b|y (x) 1) W rho W^dagger],
     indexed (x1, x2, y, z, a1, a2, b, c), with the output wiring applied."""
-    ops = np.empty((2, 2, 2, 2, 8, 8), dtype=complex)  # [z, c, y, b]
-    for z, c, y, b in itertools.product((0, 1), repeat=4):
-        ops[z, c, y, b] = kron(kron(eff_c[z, c], eff_b[y, b]), I2)
+    # [z, c, y, b]: E_c|z (x) F_b|y (x) 1
+    ops = np.kron(np.kron(eff_c[:, :, None, None], eff_b[None, None]), I2)
     vals = np.einsum("zcybij,kji->kzcyb", ops, coll).real.reshape((2,) * 8)
     # axes now (x1, x2, a1, a2, z, c, y, b)
     raw = vals.transpose(0, 1, 6, 4, 2, 3, 7, 5)
@@ -316,6 +308,10 @@ def _dedupe(points: np.ndarray) -> np.ndarray:
 def vertices(effects, ry: float | None = None) -> np.ndarray:
     """Vertices of the state polytope cut out by the effects (or of its ry slice),
     by qhull's halfspace intersection around the maximally mixed state."""
+    # imported here, so that workloads which never check a polytope do not
+    # carry scipy.spatial in the peak_rss_mb of their process
+    from scipy.spatial import HalfspaceIntersection
+
     hs = _halfspaces(effects, ry)
     inner = np.zeros(hs.shape[1] - 1)
     return _dedupe(HalfspaceIntersection(hs, inner).intersections)

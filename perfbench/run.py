@@ -7,7 +7,9 @@ checkout's src/. One closed-loop client runs whole rounds of operations until
 S seconds of operations have been timed. The last line of standard output is
 one JSON object: correct, attempted, failed and the metrics (the end-to-end
 ones with --trace 0, the per-layer ones with --trace 1). Results and spans are
-also written under .perfbench/ at the checkout root. See perfbench/README.md.
+also written under .perfbench/ at the checkout root. A run that has not
+measured enough within MAX_WALL_S exits 3 without a result. See
+perfbench/README.md.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 SETUP_SAMPLES = 5  # fresh interpreters per run; setup_s is their median
-MAX_WALL_S = 150.0  # stop starting rounds after this, to end well within 180 s
+MAX_WALL_S = 150.0  # a run that has not measured enough by then fails, within 180 s
 PROBE = """\
 import sys, time
 t = time.perf_counter()
@@ -86,15 +88,19 @@ def tail(samples: list[float], pct: float) -> float:
 
 def measure(wl, seed: int, seconds: float, tracer) -> dict:
     """Whole rounds of operations, closed loop, until `seconds` of them are timed
-    and the tail percentile has ten samples beyond it."""
+    and the tail percentile has ten samples beyond it. `capped` is true when
+    MAX_WALL_S ran out first."""
     min_samples = max(40, math.ceil(10.0 / (1.0 - wl.tail_pct / 100.0)))
     latencies: list[float] = []
     timed = 0.0
     failed = wrong = 0
     start = time.perf_counter()
     index = 0
-    while (timed < seconds or len(latencies) < min_samples) and \
-            time.perf_counter() - start < MAX_WALL_S:
+    capped = False
+    while timed < seconds or len(latencies) < min_samples:
+        if time.perf_counter() - start >= MAX_WALL_S:
+            capped = True
+            break
         inputs = wl.round(seed, index)
         outputs = []
         gc.collect()
@@ -129,7 +135,7 @@ def measure(wl, seed: int, seconds: float, tracer) -> dict:
                     print(f"wrong output: {type(e).__name__}: {e}", file=sys.stderr)
         index += 1
     return {"latencies": latencies, "timed": timed, "failed": failed, "wrong": wrong,
-            "rounds": index, "min_samples": min_samples}
+            "rounds": index, "min_samples": min_samples, "capped": capped}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -166,6 +172,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.workload != "cli-commands":  # CLI children install their own
             tracer.install()
     run = measure(wl, args.seed, args.seconds, tracer)
+    if run["capped"]:
+        print(f"error: after {MAX_WALL_S:g} s only {run['timed']:.1f} s of operations "
+              f"were timed, with {len(run['latencies'])} latencies of the "
+              f"{run['min_samples']} the tail needs; no result", file=sys.stderr)
+        return 3
     lat = run["latencies"]
     attempted = len(lat)
     throughput = (attempted - run["failed"]) / run["timed"]

@@ -184,12 +184,10 @@ class ScenarioStream(InProcess):
 # strategy-sweep
 # ======================================================================
 
-MIXTURES = 100
-
-
 class StrategySweep(InProcess):
     """Each operation sweeps the 60-point standard grid for one fixed scenario
-    and inequality, then samples MIXTURES mixtures of the grid measurements."""
+    and inequality, then samples mixtures of the grid measurements at the
+    program's default count (200)."""
 
     tail_pct = 75
 
@@ -214,8 +212,7 @@ class StrategySweep(InProcess):
         _, scn, iid, mix_seed = job
         drf = gptlab.drf
         result = drf.optimize_strategy(iid, self.grid, scn)
-        dominated = drf.mixture_dominance_check(iid, self.grid, scn, mixtures=MIXTURES,
-                                                seed=mix_seed)
+        dominated = drf.mixture_dominance_check(iid, self.grid, scn, seed=mix_seed)
         return result, dominated
 
     def check(self, job, out) -> None:
