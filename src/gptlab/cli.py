@@ -17,7 +17,7 @@ from .errors import InputError, InvariantError
 from .gpt import find_superposition, validate_witness
 from .polytope import (enumerate_vertices, facets_from_effects, family_counts,
                        slice_polygon, vertex_diff)
-from .tolerances import Tolerances, default_tolerances
+from .tolerances import Tolerances, default_tolerances, tolerances_from
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,7 @@ def _tolerances(cfg: RunConfig) -> Tolerances:
     # flag wins over the GPTLAB_TOLERANCE environment variable
     if cfg.tolerance is None:
         return default_tolerances()
-    base = float(cfg.tolerance)
-    if not base > 0:
-        raise InputError(f"--tolerance must be positive, got {cfg.tolerance!r}")
-    return Tolerances(herm=base, norm=base, interval=base, prob=base)
+    return tolerances_from(cfg.tolerance, "--tolerance")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -165,6 +162,8 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 def cmd_optimize(args, cfg: RunConfig) -> int:
     tol = _tolerances(cfg)
+    if args.mixtures < 0:
+        raise InputError(f"--mixtures must be 0 or more, got {args.mixtures}")
     if not args.preset and not args.scenario:
         args.preset = "hexsquare-V.B"
     fixed = _load_scenario(args)

@@ -12,7 +12,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import InputError, InvariantError
 from .linalg import SQRT2, pauli, require_hermitian
@@ -40,15 +39,6 @@ def operator_to_gpt(m: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     return np.array([np.trace(b @ m).real for b in basis])
 
 
-def gpt_to_operator(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    dim = {4: 2, 16: 4}.get(v.size)
-    if dim is None:
-        raise InputError(f"vector of size {v.size} is not a 2x2 or 4x4 embedding")
-    basis = hermitian_basis(dim)
-    return sum(c * b for c, b in zip(v, basis))
-
-
 # ======================================================================
 # LP helpers
 # ======================================================================
@@ -56,6 +46,8 @@ def gpt_to_operator(v: np.ndarray) -> np.ndarray:
 
 def hull_distance(point: np.ndarray, points: np.ndarray) -> float:
     """Minimal infinity-norm error when writing point as a convex combination of rows."""
+    from scipy.optimize import linprog  # the only scipy use; eval/optimize never load it
+
     points = np.asarray(points, dtype=float)
     point = np.asarray(point, dtype=float)
     if points.size == 0:

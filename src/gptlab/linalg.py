@@ -90,26 +90,18 @@ def partial_trace(m: np.ndarray, keep: int, tol: Tolerances = DEFAULT) -> np.nda
     return np.einsum("ijkj->ik", r) if keep == 0 else np.einsum("jijk->ik", r)
 
 
-def ket(amplitudes) -> np.ndarray:
-    v = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    n = np.linalg.norm(v)
-    if abs(n - 1.0) > DEFAULT.norm:
-        raise InputError(f"ket norm {n:g} is not 1")
-    return v
-
-
 def projector(k: np.ndarray) -> np.ndarray:
     k = np.asarray(k, dtype=complex).reshape(-1)
     return np.outer(k, k.conj())
 
 
 def phi_plus() -> np.ndarray:
-    v = (tensor_ket(KET_0, KET_0) + tensor_ket(KET_1, KET_1)) / SQRT2
+    v = (tensor(KET_0, KET_0) + tensor(KET_1, KET_1)) / SQRT2
     return projector(v)
 
 
 def phi_minus() -> np.ndarray:
-    v = (tensor_ket(KET_0, KET_0) - tensor_ket(KET_1, KET_1)) / SQRT2
+    v = (tensor(KET_0, KET_0) - tensor(KET_1, KET_1)) / SQRT2
     return projector(v)
 
 
@@ -121,7 +113,3 @@ def phi_pr() -> np.ndarray:
     cube effects evaluates to a probability on it.
     """
     return 0.5 * (1.0 + SQRT2) * phi_plus() + 0.5 * (1.0 - SQRT2) * phi_minus()
-
-
-def tensor_ket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))

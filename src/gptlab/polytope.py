@@ -151,6 +151,8 @@ def slice_polygon(ineqs: list[LinearInequality], ry: float,
                   tol: Tolerances = DEFAULT) -> np.ndarray:
     """Vertices of the ry = const cross-section, counter-clockwise in the
     (rx, rz) plane starting from the lexicographically smallest vertex."""
+    if not np.isfinite(ry):
+        raise InputError(f"ry must be finite, got {ry!r}")
     reduced = []  # (cx, cz, offset', sense)
     for q in ineqs:
         cx, cy, cz = q.coeffs

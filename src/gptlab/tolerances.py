@@ -1,6 +1,7 @@
 """Numerical tolerances shared across the package."""
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -22,23 +23,30 @@ class Tolerances:
     dedupe: float = 1e-7
 
 
-def default_tolerances() -> Tolerances:
-    """Tolerances with the GPTLAB_TOLERANCE environment override applied.
+def tolerances_from(raw: str | float, source: str) -> Tolerances:
+    """Tolerances with the 1e-9 family (herm/norm/interval/prob) set to raw.
 
-    The variable overrides the 1e-9 family (herm/norm/interval/prob); the
-    hull, singularity and dedupe scales keep their own defaults. Read at call
-    time, not import time, so a bad value surfaces as a normal input error.
+    The hull, singularity and dedupe scales keep their own defaults. A value
+    that is not a finite positive number is an input error: an infinite one
+    would switch every normalization, signalling and negativity check off.
     """
-    raw = os.environ.get("GPTLAB_TOLERANCE")
-    if raw is None:
-        return DEFAULT
     try:
         base = float(raw)
     except ValueError:
-        raise InputError(f"GPTLAB_TOLERANCE is not a number: {raw!r}") from None
-    if not base > 0:
-        raise InputError(f"GPTLAB_TOLERANCE must be positive, got {raw!r}")
+        raise InputError(f"{source} is not a number: {raw!r}") from None
+    if not (base > 0 and math.isfinite(base)):
+        raise InputError(f"{source} must be positive and finite, got {raw!r}")
     return Tolerances(herm=base, norm=base, interval=base, prob=base)
+
+
+def default_tolerances() -> Tolerances:
+    """Tolerances with the GPTLAB_TOLERANCE environment override applied.
+
+    Read at call time, not import time, so a bad value surfaces as a normal
+    input error.
+    """
+    raw = os.environ.get("GPTLAB_TOLERANCE")
+    return DEFAULT if raw is None else tolerances_from(raw, "GPTLAB_TOLERANCE")
 
 
 DEFAULT = Tolerances()

@@ -188,6 +188,10 @@ def test_effects_file_matches_builtin(tmp_path, capsys):
     ["slice", "--space", "square", "--ry", "2"],
     ["enumerate", "--unknown-flag"],
     ["superposition"],
+    ["eval", "--preset", "quantum-II.B", "--tolerance", "inf"],
+    ["slice", "--space", "hex", "--ry", "nan"],
+    ["slice", "--space", "hex", "--ry", "inf"],
+    ["optimize", "--mixtures", "-5"],
 ])
 def test_malformed_input_exits_3(argv, capsys):
     assert main(argv) == 3
@@ -210,6 +214,16 @@ def test_unphysical_scenario_exits_2(tmp_path, capsys):
 # process-level behavior
 
 
+def checkout_env() -> dict:
+    """The environment with ``PYTHONPATH`` led by the ``gptlab`` package
+    this test imported, ahead of any installed copy."""
+    src = str(Path(gptlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def declared_launcher(tmp_path):
     """Write the launcher pip builds from ``[project.scripts]["gptlab"]``.
 
@@ -230,11 +244,7 @@ def declared_launcher(tmp_path):
                         f"from {module} import {func}\n"
                         f"sys.exit({func}())\n", encoding="utf-8")
     launcher.chmod(0o755)
-    src = str(Path(gptlab.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    return str(launcher), env
+    return str(launcher), checkout_env()
 
 
 def test_console_script_installed(tmp_path):
@@ -247,6 +257,33 @@ def test_console_script_installed(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["violated"] is True
+
+
+SCIPY_FREE_RUN = """
+import contextlib, io, sys
+
+def no_scipy(step):
+    assert "scipy" not in sys.modules, f"scipy loaded by {step}"
+
+import gptlab
+no_scipy("import gptlab")
+from gptlab import cli
+no_scipy("import gptlab.cli")
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["eval", "--preset", "hexsquare-V.A", "--json"]) == 0
+    no_scipy("eval")
+    assert cli.main(["optimize", "--preset", "hexsquare-V.B", "--json"]) == 0
+    no_scipy("optimize")
+    assert cli.main(["enumerate", "--space", "hex", "--json"]) == 0
+"""
+
+
+def test_eval_and_optimize_never_import_scipy():
+    # The hull LP is the only scipy use; eval and optimize solve no LP, so a
+    # fresh interpreter running them must not pay for importing scipy.
+    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN],
+                          env=checkout_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_tolerance_env_loosens_probability_checks(tmp_path):

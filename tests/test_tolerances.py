@@ -27,6 +27,9 @@ def test_env_override_must_be_positive(monkeypatch):
     monkeypatch.setenv("GPTLAB_TOLERANCE", "tiny")
     with pytest.raises(InputError):
         default_tolerances()
+    monkeypatch.setenv("GPTLAB_TOLERANCE", "inf")
+    with pytest.raises(InputError):
+        default_tolerances()
 
 
 def test_no_env_returns_shared_default(monkeypatch):
